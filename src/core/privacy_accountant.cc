@@ -1,5 +1,7 @@
 #include "core/privacy_accountant.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -78,16 +80,13 @@ Status PrivacyAccountant::Charge(double epsilon, const std::string& reason) {
   }
   spent_ += epsilon;
   window_spent_ += epsilon;
-  ledger_.push_back({epsilon, reason});
+  ++charges_;
   return Status::OK();
 }
 
-void PrivacyAccountant::RestoreSpent(double spent,
-                                     const std::string& reason) {
-  if (spent <= spent_) return;
-  const double delta = spent - spent_;
-  spent_ = spent;  // may exceed budget_: remaining() < 0 refuses everything
-  ledger_.push_back({delta, reason});
+void PrivacyAccountant::RestoreSpent(double spent) {
+  // May exceed budget_: remaining() < 0 then refuses everything.
+  spent_ = std::max(spent_, spent);
 }
 
 bool IsBudgetExhausted(const Status& status) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 
@@ -79,21 +78,19 @@ class PrivacyAccountant {
   double MaxAffordable() const { return remaining(); }
 
   /// RECOVERY ONLY: raises spent() to `spent` (no-op when already at or
-  /// above it), recording the delta as a ledger entry. Unlike Charge()
-  /// this may push spent() past the budget — the recovered service then
-  /// refuses every charge, which is the correct conservative posture when
-  /// the durable ledger says a user already spent more than this
-  /// accountant's cap. Never lowers spent(), and deliberately bypasses
-  /// the window machinery: windows are request-clock-relative and the
-  /// clock restarts with the process, while the lifetime spend must not.
-  void RestoreSpent(double spent, const std::string& reason);
+  /// above it). Unlike Charge() this may push spent() past the budget —
+  /// the recovered service then refuses every charge, which is the correct
+  /// conservative posture when the durable ledger says a user already
+  /// spent more than this accountant's cap. Never lowers spent(), and
+  /// deliberately bypasses the window machinery: windows are
+  /// request-clock-relative and the clock restarts with the process, while
+  /// the lifetime spend must not.
+  void RestoreSpent(double spent);
 
-  /// Ledger of successful charges, in order.
-  struct Entry {
-    double epsilon;
-    std::string reason;
-  };
-  const std::vector<Entry>& ledger() const { return ledger_; }
+  /// Number of successful Charge() calls. Only the count is kept: a
+  /// per-charge history would grow without bound in a long-running
+  /// service (the durable per-charge record is persist/budget_ledger).
+  uint64_t charges() const { return charges_; }
 
   const BudgetWindowPolicy& window_policy() const { return window_; }
 
@@ -119,7 +116,7 @@ class PrivacyAccountant {
  private:
   double budget_;
   double spent_ = 0;
-  std::vector<Entry> ledger_;
+  uint64_t charges_ = 0;
   BudgetWindowPolicy window_;
   double window_spent_ = 0;
   uint64_t window_index_ = 0;

@@ -314,31 +314,9 @@ class PathTrialDriver {
   uint64_t trials_done_ = 0;
 };
 
-ServiceStats SumStats(const ServiceStats& a, const ServiceStats& b) {
-  ServiceStats sum = a;
-  sum.served += b.served;
-  sum.refused_budget += b.refused_budget;
-  sum.cache_hits += b.cache_hits;
-  sum.cache_misses += b.cache_misses;
-  sum.cache_invalidations += b.cache_invalidations;
-  sum.sampler_reuses += b.sampler_reuses;
-  sum.audit_serves += b.audit_serves;
-  sum.audit_list_serves += b.audit_list_serves;
-  sum.delta_kept += b.delta_kept;
-  sum.delta_patched += b.delta_patched;
-  sum.delta_recomputed += b.delta_recomputed;
-  sum.journal_fallbacks += b.journal_fallbacks;
-  sum.doomed_evictions += b.doomed_evictions;
-  sum.filter_dropped_deltas += b.filter_dropped_deltas;
-  sum.repair_ns += b.repair_ns;
-  sum.refused_window += b.refused_window;
-  sum.degraded_serves += b.degraded_serves;
-  sum.window_refreshes += b.window_refreshes;
-  sum.shed_overload += b.shed_overload;
-  sum.retries += b.retries;
-  sum.stale_fallback_serves += b.stale_fallback_serves;
-  sum.injected_faults += b.injected_faults;
-  return sum;
+ServiceStats SumStats(ServiceStats a, const ServiceStats& b) {
+  a += b;
+  return a;
 }
 
 }  // namespace

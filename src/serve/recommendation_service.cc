@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -30,53 +29,6 @@ size_t ResolveShardCount(size_t requested) {
   // Clamp before rounding: RoundUpPow2 on a value above 2^63 would never
   // terminate.
   return RoundUpPow2(std::min<size_t>(n, 64));
-}
-
-/// Resolves a peeled list's zero-block sentinel picks to DISTINCT uniform
-/// zero-utility candidates of `view` — the contract TopKResult documents
-/// but defers to the release path. The resolution is part of the privacy
-/// argument, not cosmetics: a released sentinel says "this slot's utility
-/// is exactly 0", an outcome with probability 0 on the side of a
-/// neighboring pair where that candidate's utility is positive — an
-/// infinite probability ratio. (The node-DP audit certified exactly that
-/// before lists were resolved; single serves always resolved.) Uniform
-/// without-replacement resolution makes zero picks exchangeable with
-/// positive picks, restoring the peeling mechanism's e^ε bound.
-Status ResolveZeroPicks(const CsrGraph& view, const UtilityVector& utilities,
-                        TopKResult& result, Rng& rng) {
-  std::unordered_set<NodeId> excluded;
-  excluded.reserve(utilities.nonzero().size() + result.picks.size());
-  for (const UtilityEntry& e : utilities.nonzero()) excluded.insert(e.node);
-  const NodeId target = utilities.target();
-  auto eligible = [&](NodeId v) {
-    return v != target && !view.HasEdge(target, v) && excluded.count(v) == 0;
-  };
-  for (Recommendation& pick : result.picks) {
-    if (!pick.from_zero_block) continue;
-    NodeId resolved = kUnresolvedZeroNode;
-    // Rejection over uniform node draws conditioned on eligibility is
-    // uniform over the remaining zero block; the peeling never draws the
-    // zero slot more often than the block has members, so the scan
-    // fallback below always finds one.
-    for (int attempt = 0; attempt < 256 && resolved == kUnresolvedZeroNode;
-         ++attempt) {
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(view.num_nodes()));
-      if (eligible(v)) resolved = v;
-    }
-    if (resolved == kUnresolvedZeroNode) {
-      std::vector<NodeId> pool;
-      for (NodeId v = 0; v < view.num_nodes(); ++v) {
-        if (eligible(v)) pool.push_back(v);
-      }
-      if (pool.empty()) {
-        return Status::Internal("zero-utility list bookkeeping mismatch");
-      }
-      resolved = pool[rng.NextBounded(pool.size())];
-    }
-    pick.node = resolved;
-    excluded.insert(resolved);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -649,10 +601,10 @@ Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
   auto result = PeelingExponentialTopK(entry->utilities, k, charge_eps,
                                        entry->calibration_sensitivity, rng);
   if (result.ok()) {
-    // Resolve zero-block picks to concrete distinct candidates — released
-    // sentinels would leak "utility exactly 0" (see ResolveZeroPicks).
+    // A released zero-block sentinel would leak "utility exactly 0"; resolve
+    // each to a distinct uniform candidate (see ResolveZeroBlockPicks).
     PRIVREC_RETURN_NOT_OK(
-        ResolveZeroPicks(view, entry->utilities, *result, rng));
+        ResolveZeroBlockPicks(view, entry->utilities, result->picks, rng));
     if (charge_budget) {
       ++shard.stats.served;
       if (degraded) ++shard.stats.degraded_serves;
@@ -774,8 +726,7 @@ Status RecommendationService::SaveCheckpoint(const std::string& dir) {
 void RecommendationService::ImportSpentBudget(NodeId user, double spent) {
   Shard& shard = ShardFor(user);
   std::lock_guard<std::mutex> lock(shard.mu);
-  AccountantForLocked(shard, user)
-      .RestoreSpent(spent, "recovered ledger spend");
+  AccountantForLocked(shard, user).RestoreSpent(spent);
   UpdateBudgetHintLocked(shard, user);
 }
 
@@ -799,32 +750,42 @@ double RecommendationService::WindowSpent(NodeId user) const {
   return it == shard.accountants.end() ? 0.0 : it->second.window_spent();
 }
 
+ServiceStats& ServiceStats::operator+=(const ServiceStats& other) {
+  static_assert(sizeof(ServiceStats) == 23 * sizeof(uint64_t),
+                "a ServiceStats counter is missing from operator+=");
+  served += other.served;
+  refused_budget += other.refused_budget;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  cache_invalidations += other.cache_invalidations;
+  sampler_reuses += other.sampler_reuses;
+  audit_serves += other.audit_serves;
+  audit_list_serves += other.audit_list_serves;
+  delta_kept += other.delta_kept;
+  delta_patched += other.delta_patched;
+  delta_recomputed += other.delta_recomputed;
+  journal_fallbacks += other.journal_fallbacks;
+  doomed_evictions += other.doomed_evictions;
+  filter_dropped_deltas += other.filter_dropped_deltas;
+  repair_ns += other.repair_ns;
+  refused_window += other.refused_window;
+  degraded_serves += other.degraded_serves;
+  window_refreshes += other.window_refreshes;
+  shed_overload += other.shed_overload;
+  retries += other.retries;
+  stale_fallback_serves += other.stale_fallback_serves;
+  injected_faults += other.injected_faults;
+  ledger_appends += other.ledger_appends;
+  return *this;
+}
+
 ServiceStats RecommendationService::stats() const {
   ServiceStats total;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    total.served += shard.stats.served;
-    total.refused_budget += shard.stats.refused_budget;
-    total.cache_hits += shard.stats.cache_hits;
-    total.cache_misses += shard.stats.cache_misses;
-    total.cache_invalidations += shard.stats.cache_invalidations;
-    total.sampler_reuses += shard.stats.sampler_reuses;
-    total.audit_serves += shard.stats.audit_serves;
-    total.audit_list_serves += shard.stats.audit_list_serves;
-    total.delta_kept += shard.stats.delta_kept;
-    total.delta_patched += shard.stats.delta_patched;
-    total.delta_recomputed += shard.stats.delta_recomputed;
-    total.journal_fallbacks += shard.stats.journal_fallbacks;
-    total.doomed_evictions += shard.stats.doomed_evictions;
-    total.filter_dropped_deltas += shard.stats.filter_dropped_deltas;
-    total.repair_ns += shard.stats.repair_ns;
-    total.refused_window += shard.stats.refused_window;
-    total.degraded_serves += shard.stats.degraded_serves;
-    total.window_refreshes += shard.stats.window_refreshes;
-    total.stale_fallback_serves += shard.stats.stale_fallback_serves;
-    total.injected_faults += shard.stats.injected_faults;
-    total.ledger_appends += shard.stats.ledger_appends;
+    total += shard.stats;
+    // Admission-path counters are shard atomics, bumped outside the mutex.
     total.shed_overload +=
         shard.shed_overload.load(std::memory_order_relaxed);
     total.retries += shard.retries.load(std::memory_order_relaxed);

@@ -227,6 +227,12 @@ struct ServiceStats {
   /// completed since the ledger was attached, except when a crash landed
   /// between the append and the release.
   uint64_t ledger_appends = 0;
+
+  /// Field-wise sum: the one place that lists every counter, used for the
+  /// per-shard aggregation in RecommendationService::stats() and for
+  /// summing services. A static_assert next to its definition fails the
+  /// build when a counter is added here but not there.
+  ServiceStats& operator+=(const ServiceStats& other);
 };
 
 /// The production wrapper a deployment would put around this library:

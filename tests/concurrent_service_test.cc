@@ -2,7 +2,8 @@
 // the thread-safety contract (exact budget accounting under races, exact
 // stats sums, never a torn snapshot), a chi-squared check that the
 // cache-hit frozen-sampler path draws from the exact exponential-mechanism
-// distribution, and a determinism test for the per-shard RNG streams.
+// distribution, a determinism test for the per-shard RNG streams, and
+// concurrent zero-block resolution over per-thread scratch.
 //
 // These tests carry the ctest label `concurrent` and are the payload of
 // ci/sanitize.sh (ThreadSanitizer build).
@@ -151,9 +152,11 @@ TEST(ConcurrentServiceTest, SnapshotsAreNeverTorn) {
     }
     // Reader: the published (stamp, CSR) pair must always be internally
     // consistent — the stamp's edge count is the CSR's edge count, and the
-    // version/edge-count stamps advance monotonically per reader.
+    // version/edge-count stamps advance monotonically per reader. Each
+    // reader checks at least once, even when the mutators finish before it
+    // is first scheduled.
     uint64_t last_version = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    do {
       DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
       ASSERT_NE(snap.graph, nullptr);
       ASSERT_EQ(snap.num_edges, snap.graph->num_edges())
@@ -162,7 +165,7 @@ TEST(ConcurrentServiceTest, SnapshotsAreNeverTorn) {
       ASSERT_LE(snap.version, graph.version());
       last_version = snap.version;
       snapshots_checked.fetch_add(1);
-    }
+    } while (!stop.load(std::memory_order_acquire));
   });
   EXPECT_GT(snapshots_checked.load(), 0u);
 }
@@ -251,6 +254,112 @@ TEST(ConcurrentServiceTest, CachedSamplerMatchesExactDistribution) {
   // percentile of chi2(dof), so flakes mean a real distribution bug.
   EXPECT_LT(gof.statistic, ChiSquaredConservativeBound(gof.dof, 6.0))
       << "cache-hit sampler draws diverge from the exact distribution";
+}
+
+TEST(ConcurrentServiceTest, ConcurrentZeroBlockResolutionIsExactAndIsolated) {
+  // Zero-block resolution keeps a per-thread mark array. Six threads serve
+  // singles and lists at a small ε (so most picks land in the zero block)
+  // against two services over graphs of different sizes, so each thread's
+  // scratch is reused across graphs larger and smaller than its capacity.
+  // Audit serves on an unmutated graph are a pure function of the caller's
+  // Rng and request sequence, so each thread's outcomes must replay
+  // exactly on one thread afterwards; any cross-thread scratch sharing
+  // would change picks.
+  Rng graph_rng(404);
+  const auto weights = PowerLawWeights(3000, 2.2);
+  auto large = ChungLu(weights, weights, 15000, /*directed=*/false, graph_rng);
+  ASSERT_TRUE(large.ok());
+  DynamicGraph graphs[2] = {StressGraph(21), DynamicGraph(*large)};
+  ServiceOptions options;
+  options.release_epsilon = 0.05;
+  options.per_user_budget = 1e9;
+  options.cache_capacity = 64;
+  options.num_shards = 4;
+  std::unique_ptr<RecommendationService> services[2];
+  // A stride over ids mixes the generator's low-id hubs with ordinary
+  // users; every id exists in both graphs.
+  constexpr NodeId kUsers = 24;
+  auto user_id = [](NodeId i) { return 11 * i + 5; };
+  // Per graph and user index: the excluded set (the user and their
+  // out-neighbors) and the nonzero support.
+  std::vector<std::set<NodeId>> excluded[2];
+  std::vector<std::set<NodeId>> support[2];
+  for (int gi = 0; gi < 2; ++gi) {
+    services[gi] = std::make_unique<RecommendationService>(
+        &graphs[gi], std::make_unique<CommonNeighborsUtility>(), options);
+    auto snapshot = graphs[gi].SharedSnapshot();
+    for (NodeId i = 0; i < kUsers; ++i) {
+      const NodeId user = user_id(i);
+      const auto out = snapshot->OutNeighbors(user);
+      std::set<NodeId> ex(out.begin(), out.end());
+      ex.insert(user);
+      excluded[gi].push_back(std::move(ex));
+      const UtilityVector u = CommonNeighborsUtility().Compute(*snapshot, user);
+      std::set<NodeId> sup;
+      for (const UtilityEntry& e : u.nonzero()) sup.insert(e.node);
+      support[gi].push_back(std::move(sup));
+    }
+  }
+
+  constexpr unsigned kThreads = 6;
+  constexpr int kOpsPerThread = 600;
+  constexpr size_t kListK = 5;
+  // Runs one worker's request sequence, appending every released node.
+  auto run = [&](unsigned w, std::vector<NodeId>& released,
+                 uint64_t& zero_picks, uint64_t& invalid) {
+    Rng rng(7000 + w);
+    Rng choice(9000 + w);
+    for (int op = 0; op < kOpsPerThread; ++op) {
+      const int gi = op % 2;
+      const NodeId i = static_cast<NodeId>(choice.NextBounded(kUsers));
+      const NodeId user = user_id(i);
+      std::vector<NodeId> nodes;
+      if (choice.NextBernoulli(0.5)) {
+        auto rec = services[gi]->ServeForAudit(user, rng);
+        if (!rec.ok()) {
+          ++invalid;
+          continue;
+        }
+        nodes.push_back(*rec);
+      } else {
+        auto list = services[gi]->ServeListForAudit(user, kListK, rng);
+        if (!list.ok()) {
+          ++invalid;
+          continue;
+        }
+        for (const Recommendation& pick : list->picks) {
+          nodes.push_back(pick.node);
+        }
+        if (std::set<NodeId>(nodes.begin(), nodes.end()).size() !=
+            nodes.size()) {
+          ++invalid;
+        }
+      }
+      for (NodeId v : nodes) {
+        if (v >= graphs[gi].num_nodes() || excluded[gi][i].count(v) > 0) {
+          ++invalid;
+        }
+        if (support[gi][i].count(v) == 0) ++zero_picks;
+        released.push_back(v);
+      }
+    }
+  };
+
+  std::vector<std::vector<NodeId>> released(kThreads);
+  std::vector<uint64_t> zero_picks(kThreads, 0);
+  std::vector<uint64_t> invalid(kThreads, 0);
+  RunWorkers(kThreads, [&](unsigned w) {
+    run(w, released[w], zero_picks[w], invalid[w]);
+  });
+  for (unsigned w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(invalid[w], 0u) << "worker " << w;
+    EXPECT_GT(zero_picks[w], 500u)
+        << "worker " << w << " barely exercised the zero block";
+    std::vector<NodeId> replayed;
+    uint64_t replay_zero = 0, replay_invalid = 0;
+    run(w, replayed, replay_zero, replay_invalid);
+    EXPECT_EQ(released[w], replayed) << "worker " << w;
+  }
 }
 
 // Common neighbors with a (still conservative: ≥ 2) sensitivity bound that

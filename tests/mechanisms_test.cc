@@ -1,16 +1,23 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
+#include "common/statistics.h"
 #include "core/baseline_mechanisms.h"
 #include "core/closed_forms.h"
 #include "core/exponential_mechanism.h"
 #include "core/laplace_mechanism.h"
 #include "core/linear_smoothing.h"
 #include "core/mechanism.h"
+#include "core/topk.h"
 #include "eval/accuracy.h"
 #include "gen/fixtures.h"
+#include "gen/generators.h"
+#include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "random/distributions.h"
 #include "random/rng.h"
@@ -498,6 +505,219 @@ TEST(ResolveZeroNodeTest, FailsWhenNoZeroCandidates) {
   Rng rng(31);
   EXPECT_TRUE(ResolveZeroUtilityNode(g, u, rng).status()
                   .IsFailedPrecondition());
+}
+
+// Set-based resolvers as they stood before the mark-array resolver, kept as
+// differential oracles: OracleResolveSingle is the old single-pick path,
+// including its biased "first eligible node" fallback, and
+// OracleResolveList the old list path with its uniform pool fallback.
+NodeId OracleResolveSingle(const CsrGraph& graph, const UtilityVector& u,
+                           Rng& rng) {
+  std::unordered_set<NodeId> support;
+  for (const UtilityEntry& e : u.nonzero()) support.insert(e.node);
+  const NodeId target = u.target();
+  auto eligible = [&](NodeId v) {
+    return v != target && !graph.HasEdge(target, v) && support.count(v) == 0;
+  };
+  for (int attempt = 0; attempt < 256; ++attempt) {
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
+    if (eligible(v)) return v;
+  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    if (eligible(v)) return v;
+  }
+  return kUnresolvedZeroNode;
+}
+
+void OracleResolveList(const CsrGraph& graph, const UtilityVector& u,
+                       std::vector<Recommendation>& picks, Rng& rng) {
+  std::unordered_set<NodeId> excluded;
+  for (const UtilityEntry& e : u.nonzero()) excluded.insert(e.node);
+  const NodeId target = u.target();
+  auto eligible = [&](NodeId v) {
+    return v != target && !graph.HasEdge(target, v) && excluded.count(v) == 0;
+  };
+  for (Recommendation& pick : picks) {
+    if (!pick.from_zero_block) continue;
+    NodeId resolved = kUnresolvedZeroNode;
+    for (int attempt = 0; attempt < 256 && resolved == kUnresolvedZeroNode;
+         ++attempt) {
+      const NodeId v = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
+      if (eligible(v)) resolved = v;
+    }
+    if (resolved == kUnresolvedZeroNode) {
+      std::vector<NodeId> pool;
+      for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+        if (eligible(v)) pool.push_back(v);
+      }
+      resolved = pool[rng.NextBounded(pool.size())];
+    }
+    pick.node = resolved;
+    excluded.insert(resolved);
+  }
+}
+
+TEST(ResolveZeroNodeTest, MatchesSetBasedOracleExactly) {
+  // Same draws, same accept rule: wherever rejection succeeds within 256
+  // tries (every pick on a Chung-Lu graph), picks and the Rng state after
+  // resolution are byte-identical to the set-based resolvers.
+  Rng graph_rng(2011);
+  const auto weights = PowerLawWeights(2000, 2.1);
+  auto g = ChungLu(weights, weights, 16000, /*directed=*/false, graph_rng);
+  ASSERT_TRUE(g.ok());
+  CommonNeighborsUtility cn;
+  const double sensitivity = cn.SensitivityBound(*g);
+  constexpr int kPairs = 240;
+  int pairs = 0;
+  uint64_t list_zero_picks = 0;
+  size_t max_support = 0;
+  for (NodeId i = 0; pairs < kPairs; ++i) {
+    ASSERT_LT(i, 4 * g->num_nodes()) << "too few targets with a zero block";
+    // Low ids are the Chung-Lu hubs (largest supports); the stride mixes in
+    // ordinary users.
+    const NodeId target = i < 40 ? i : (i * 7919) % g->num_nodes();
+    const UtilityVector u = cn.Compute(*g, target);
+    if (u.num_zero() < 10) continue;
+    max_support = std::max(max_support, u.nonzero().size());
+    const uint64_t seed = 1000 + static_cast<uint64_t>(pairs);
+
+    Rng single_rng(seed);
+    Rng oracle_rng(seed);
+    auto node = ResolveZeroUtilityNode(*g, u, single_rng);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    EXPECT_EQ(*node, OracleResolveSingle(*g, u, oracle_rng))
+        << "target " << target << " seed " << seed;
+    EXPECT_EQ(single_rng.NextUint64(), oracle_rng.NextUint64());
+
+    Rng peel_rng(seed);
+    auto list = PeelingExponentialTopK(u, 10, 0.2, sensitivity, peel_rng);
+    ASSERT_TRUE(list.ok());
+    std::vector<Recommendation> oracle_picks = list->picks;
+    Rng list_rng(seed);
+    Rng oracle_list_rng(seed);
+    ASSERT_TRUE(
+        ResolveZeroBlockPicks(*g, u, list->picks, list_rng).ok());
+    OracleResolveList(*g, u, oracle_picks, oracle_list_rng);
+    for (size_t j = 0; j < oracle_picks.size(); ++j) {
+      EXPECT_EQ(list->picks[j].node, oracle_picks[j].node)
+          << "target " << target << " seed " << seed << " slot " << j;
+      list_zero_picks += oracle_picks[j].from_zero_block;
+    }
+    EXPECT_EQ(list_rng.NextUint64(), oracle_list_rng.NextUint64());
+    ++pairs;
+  }
+  // The comparison must have exercised many zero-block list slots (the
+  // distinctness path) and hub-sized supports.
+  EXPECT_GT(list_zero_picks, 500u);
+  EXPECT_GT(max_support, 500u);
+}
+
+// Near-complete neighborhood: the target points at all but a handful of
+// nodes, so 256 uniform tries almost always miss the zero block (success
+// probability ~2.5%) and resolution runs the exact fallback.
+struct ForcedFallbackFixture {
+  static constexpr NodeId kNeighbors = 40000;
+  CsrGraph graph;
+  UtilityVector utilities;
+  std::vector<NodeId> zero_block;
+};
+
+ForcedFallbackFixture MakeForcedFallbackFixture() {
+  // Node 0 is the target, nodes 1-4 form the zero block, nodes 5-6 are
+  // 2-hop candidates with positive utility, and every other node is an
+  // out-neighbor of the target.
+  const NodeId n = ForcedFallbackFixture::kNeighbors + 7;
+  GraphBuilder builder(/*directed=*/true);
+  builder.SetNumNodes(n);
+  for (NodeId v = 7; v < n; ++v) builder.AddEdge(0, v);
+  builder.AddEdge(7, 5);
+  builder.AddEdge(8, 6);
+  CsrGraph graph = builder.Build();
+  UtilityVector utilities = CommonNeighborsUtility().Compute(graph, 0);
+  return {std::move(graph), std::move(utilities), {1, 2, 3, 4}};
+}
+
+double UniformChiSquaredExcess(const std::vector<double>& observed) {
+  double total = 0;
+  for (double o : observed) total += o;
+  const std::vector<double> expected(observed.size(), total / observed.size());
+  const ChiSquaredGof gof = ChiSquaredGoodnessOfFit(observed, expected);
+  return gof.statistic - ChiSquaredConservativeBound(gof.dof, 6.0);
+}
+
+TEST(ResolveZeroNodeTest, ForcedFallbackIsUniformForSingleAndListPicks) {
+  const ForcedFallbackFixture f = MakeForcedFallbackFixture();
+  ASSERT_EQ(f.utilities.nonzero().size(), 2u);
+  ASSERT_EQ(f.utilities.num_zero(), f.zero_block.size());
+  auto slot = [&](NodeId v) -> size_t {
+    const auto it = std::find(f.zero_block.begin(), f.zero_block.end(), v);
+    return static_cast<size_t>(it - f.zero_block.begin());
+  };
+
+  constexpr int kSingles = 4000;
+  std::vector<double> single_counts(f.zero_block.size(), 0);
+  std::vector<double> oracle_counts(f.zero_block.size(), 0);
+  Rng rng(77);
+  Rng oracle_rng(77);
+  for (int i = 0; i < kSingles; ++i) {
+    auto node = ResolveZeroUtilityNode(f.graph, f.utilities, rng);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    ASSERT_LT(slot(*node), f.zero_block.size()) << *node;
+    ++single_counts[slot(*node)];
+    const NodeId oracle = OracleResolveSingle(f.graph, f.utilities, oracle_rng);
+    ASSERT_LT(slot(oracle), f.zero_block.size());
+    ++oracle_counts[slot(oracle)];
+  }
+  EXPECT_LT(UniformChiSquaredExcess(single_counts), 0)
+      << "single-pick fallback is not uniform over the zero block";
+  // The set-based single path fell back to the FIRST eligible node: the
+  // same test rejects it by a wide margin.
+  EXPECT_GT(UniformChiSquaredExcess(oracle_counts), 0);
+
+  // Two zero-block slots of one list: the ordered pair must be uniform over
+  // the 12 ordered pairs of distinct zero-block members.
+  constexpr int kLists = 3600;
+  const size_t z = f.zero_block.size();
+  std::vector<double> pair_counts(z * z, 0);
+  for (int i = 0; i < kLists; ++i) {
+    std::vector<Recommendation> picks(2, {kUnresolvedZeroNode, 0.0, true});
+    ASSERT_TRUE(ResolveZeroBlockPicks(f.graph, f.utilities, picks, rng).ok());
+    const size_t a = slot(picks[0].node);
+    const size_t b = slot(picks[1].node);
+    ASSERT_LT(a, z);
+    ASSERT_LT(b, z);
+    ASSERT_NE(a, b) << "list picks must be distinct";
+    ++pair_counts[a * z + b];
+  }
+  std::vector<double> observed;
+  for (size_t a = 0; a < z; ++a) {
+    for (size_t b = 0; b < z; ++b) {
+      if (a != b) observed.push_back(pair_counts[a * z + b]);
+    }
+  }
+  EXPECT_LT(UniformChiSquaredExcess(observed), 0)
+      << "list fallback is not uniform over ordered zero-block pairs";
+}
+
+TEST(ResolveZeroNodeTest, ListResolutionExhaustsTheZeroBlockExactly) {
+  // As many zero-block slots as the block has members: every member is
+  // picked once; one slot more is a bookkeeping error, not a repeat.
+  const ForcedFallbackFixture f = MakeForcedFallbackFixture();
+  Rng rng(5);
+  std::vector<Recommendation> picks(f.zero_block.size(),
+                                    {kUnresolvedZeroNode, 0.0, true});
+  const UtilityEntry& top = f.utilities.nonzero()[0];
+  picks.insert(picks.begin(), {top.node, top.utility, false});  // stays put
+  ASSERT_TRUE(ResolveZeroBlockPicks(f.graph, f.utilities, picks, rng).ok());
+  EXPECT_EQ(picks[0].node, top.node);
+  std::vector<NodeId> resolved;
+  for (size_t i = 1; i < picks.size(); ++i) resolved.push_back(picks[i].node);
+  std::sort(resolved.begin(), resolved.end());
+  EXPECT_EQ(resolved, f.zero_block);
+
+  picks.push_back({kUnresolvedZeroNode, 0.0, true});
+  EXPECT_TRUE(ResolveZeroBlockPicks(f.graph, f.utilities, picks, rng)
+                  .IsInternal());
 }
 
 }  // namespace
